@@ -194,11 +194,14 @@ def smooth_B_ties(
         neighbors[:, i] = idx ^ (1 << i)
     neighbors %= n  # safety for non-power-of-two row counts
 
-    one_hot = np.zeros((n, 1 << f), dtype=np.float64)
+    votes = np.zeros((n, 1 << f), dtype=np.float64)  # (n, 2^f)
     for _ in range(passes):
-        one_hot[:] = 0.0
-        one_hot[idx, codes] = 1.0
-        votes = one_hot[neighbors].sum(axis=1)  # (n, 2^f)
+        # votes[r, c]: how many of row r's neighbours hold code c (small
+        # integers, exact in float64)
+        votes[:] = 0.0
+        nb = codes[neighbors]
+        for i in range(k):
+            votes[idx, nb[:, i]] += 1.0
         # Among tie-optimal codes, take the neighbourhood favourite (with a
         # small popularity epsilon so isolated rows stay deterministic).
         score = ties * (votes + 1e-3 * popularity[None, :])

@@ -19,6 +19,8 @@ Two factorization families are profiled:
 The default ``hybrid`` selection keeps, per degree, the cone variant unless
 the general factorization is substantially more accurate — matching the
 paper's observed behaviour of smooth area reduction with occasional bumps.
+The rule reads factorization error alone, so it runs before any area
+synthesis and only the winner is costed (DESIGN.md "The degree ladder").
 
 Profiling is dispatched through :mod:`repro.runtime`: each window becomes
 one self-contained :class:`WindowTask` (truth table + weights + standalone
@@ -218,7 +220,10 @@ class WindowTaskResult:
 
 
 class _VariantCosting:
-    """Memoized synthesis of factored window implementations."""
+    """Area synthesis, run only for what a profile stores (here: the exact
+    window and each (degree, rail) selection winner).  ``n_syntheses``
+    counts synthesis runs; memo hits on a repeated factor pair do not count.
+    """
 
     def __init__(
         self, library: Library, options: EspressoOptions, match_macros: bool
@@ -315,19 +320,19 @@ def _cone_candidate(
     )
 
 
-def _pick_hybrid(
-    bmf_variant: Optional[CandidateVariant],
-    cone_variant: Optional[CandidateVariant],
+def _costed_pick(
+    costing: _VariantCosting, p: ProfileParams, task: WindowTask, f: int,
+    result, cs,
 ) -> CandidateVariant:
-    """The hybrid rule: cone unless general BMF is substantially better."""
-    if bmf_variant is None:
-        return cone_variant
-    if cone_variant is None:
-        return bmf_variant
-    take_bmf = bmf_variant.bmf_error < (
-        HYBRID_ERROR_FACTOR * cone_variant.bmf_error
-    )
-    return bmf_variant if take_bmf else cone_variant
+    """The hybrid rule on raw factorization error; costs only the winner.
+
+    ``result`` (general BMF) / ``cs`` (cone) is None if not profiled.
+    """
+    if cs is None or (
+        result is not None and result.error < HYBRID_ERROR_FACTOR * cs.error
+    ):
+        return _bmf_candidate(costing, p, result)
+    return _cone_candidate(costing, p, task, f, cs)
 
 
 def _weight_rails(task: WindowTask) -> List[Optional[np.ndarray]]:
@@ -380,17 +385,11 @@ def profile_window_task(task: WindowTask) -> WindowTaskResult:
     for f in range(1, n_outputs):
         by_table: Dict[bytes, CandidateVariant] = {}
         for idx in range(len(rails)):
-            bmf_variant = (
-                _bmf_candidate(costing, p, bmf_ladders[idx][f])
-                if idx in bmf_ladders
-                else None
+            variant = _costed_pick(
+                costing, p, task, f,
+                bmf_ladders[idx][f] if idx in bmf_ladders else None,
+                cone_ladders[idx][f] if idx in cone_ladders else None,
             )
-            cone_variant = (
-                _cone_candidate(costing, p, task, f, cone_ladders[idx][f])
-                if idx in cone_ladders
-                else None
-            )
-            variant = _pick_hybrid(bmf_variant, cone_variant)
             key = variant.table.tobytes()
             held = by_table.get(key)
             # identical tables measure identically; keep the cheaper
@@ -418,20 +417,17 @@ def profile_window_task_reference(task: WindowTask) -> WindowTaskResult:
 
     def build_variant(f: int, rail: Optional[np.ndarray]) -> CandidateVariant:
         nonlocal n_factorizations
-        bmf_variant = None
-        cone_variant = None
+        result = cs = None
         if p.selection in ("bmf", "hybrid"):
             result = factorize(
                 task.table, f, weights=rail, algebra=p.algebra,
                 method=p.method, taus=p.taus,
             )
             n_factorizations += 1
-            bmf_variant = _bmf_candidate(costing, p, result)
         if p.selection in ("cone", "hybrid"):
             cs = column_select_bmf(task.table, f, weights=rail, algebra=p.algebra)
             n_factorizations += 1
-            cone_variant = _cone_candidate(costing, p, task, f, cs)
-        return _pick_hybrid(bmf_variant, cone_variant)
+        return _costed_pick(costing, p, task, f, result, cs)
 
     exact_area = costing.window_area(task.sub) if p.estimate_area else 0.0
     variants: Dict[int, List[CandidateVariant]] = {}

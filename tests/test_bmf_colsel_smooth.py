@@ -17,7 +17,38 @@ from repro.core.bmf import (
     update_B_exact,
     weighted_error,
 )
+from repro.core.bmf.boolean import check_weights
+from repro.core.bmf.refine import _combination_table
 from repro.errors import FactorizationError
+
+
+def _smooth_by_one_hot_gather(M, C, weights=None, algebra="semiring",
+                              passes=3, slack=0.0):
+    """Oracle: the tie-smoothing vote as a dense ``(n, k, 2^f)`` gather."""
+    f, m = C.shape
+    n = M.shape[0]
+    w = check_weights(weights, m)
+    combos = _combination_table(C, algebra)
+    dist = (M.astype(float) * w) @ (~combos).T.astype(float) + (
+        (~M).astype(float) * w
+    ) @ combos.T.astype(float)
+    ties = dist <= dist.min(axis=1)[:, None] + slack + 1e-9
+    popularity = ties.sum(axis=0).astype(float)
+    codes = np.argmax(ties * popularity[None, :], axis=1)
+    k = max(n.bit_length() - 1, 1)
+    idx = np.arange(n)
+    neighbors = np.stack([idx ^ (1 << i) for i in range(k)], axis=1) % n
+    for _ in range(passes):
+        one_hot = np.zeros((n, 1 << f))
+        one_hot[idx, codes] = 1.0
+        votes = one_hot[neighbors].sum(axis=1)
+        new_codes = np.argmax(
+            ties * (votes + 1e-3 * popularity[None, :]), axis=1
+        )
+        if (new_codes == codes).all():
+            break
+        codes = new_codes
+    return ((codes[:, None] >> np.arange(f)) & 1).astype(bool)
 
 
 class TestColumnSelect:
@@ -96,6 +127,21 @@ class TestSmoothBTies:
         smooth = smooth_B_ties(M, C, slack=slack)
         err = weighted_error(M, bool_product(smooth, C))
         assert err <= opt_err + slack * M.shape[0] + 1e-9
+
+    @pytest.mark.parametrize("n,f", [(16, 1), (64, 3), (256, 5), (512, 4), (48, 3)])
+    @pytest.mark.parametrize("slack", [0.0, 0.5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_one_hot_gather_oracle(self, n, f, slack, weighted):
+        rng = np.random.default_rng(n * 31 + f)
+        m = f + 3
+        M = rng.random((n, m)) < 0.5
+        C = rng.random((f, m)) < 0.5
+        w = numeric_weights(m) if weighted else None
+        for algebra in ("semiring", "field"):
+            np.testing.assert_array_equal(
+                smooth_B_ties(M, C, w, algebra, slack=slack),
+                _smooth_by_one_hot_gather(M, C, w, algebra, slack=slack),
+            )
 
     def test_negative_slack_rejected(self, rng):
         M = rng.random((8, 3)) < 0.5
