@@ -72,7 +72,6 @@ def _config(args) -> ExplorerConfig:
         chunk_cache_chunks=args.chunk_cache_chunks,
         cache_dir=args.cache_dir,
         engine=args.engine,
-        kernels=args.kernels,
         chunk_words=args.chunk_words,
         chunk_budget_mb=args.chunk_budget_mb,
         sanitize=True if args.sanitize else None,
@@ -155,12 +154,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="candidate-evaluation engine (trajectories are "
                         "byte-identical; 'reference' is the interpreted "
                         "oracle)")
-    p.add_argument("--kernels", choices=["numpy", "jit", "auto"],
-                   default="auto",
-                   help="kernel backend for the packed hot loops "
-                        "(byte-identical results; 'jit' uses numba when "
-                        "installed, 'auto' falls back to numpy without it; "
-                        "the REPRO_KERNELS env var overrides)")
     p.add_argument("--chunk-words", type=int, default=None,
                    help="streaming execution: packed words per pattern-axis "
                         "chunk (bounds sample-matrix memory; trajectories "

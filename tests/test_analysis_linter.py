@@ -270,81 +270,6 @@ class TestSearchPackageRngBan:
         ) == []
 
 
-class TestKernelPurity:
-    """``@njit`` bodies in ``repro/kernels/`` must stay nopython-pure:
-    no dict/set construction, no object-mode builtins, no set iteration
-    (DESIGN.md "Kernel backends")."""
-
-    DICT_IN_KERNEL = (
-        "from numba import njit\n"
-        "@njit(cache=True)\n"
-        "def k(x):\n"
-        "    table = {0: x}\n"
-        "    return table[0]\n"
-    )
-
-    def test_dict_in_njit_kernel_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path, self.DICT_IN_KERNEL, filename="repro/kernels/custom.py"
-        )
-        assert rules_hit(findings) == ["kernel-purity"]
-        assert "dict construction" in findings[0].message
-
-    def test_set_iteration_in_njit_kernel_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "import numba\n"
-            "@numba.njit\n"
-            "def k(xs):\n"
-            "    total = 0\n"
-            "    for v in set(xs):\n"
-            "        total += v\n"
-            "    return total\n",
-            filename="repro/kernels/custom.py",
-        )
-        assert "kernel-purity" in rules_hit(findings)
-
-    def test_object_mode_builtin_flagged(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "from numba import njit\n"
-            "@njit(cache=True)\n"
-            "def k(x):\n"
-            "    return getattr(x, 'sum')()\n",
-            filename="repro/kernels/custom.py",
-        )
-        assert rules_hit(findings) == ["kernel-purity"]
-        assert "getattr()" in findings[0].message
-
-    def test_undecorated_helper_is_clean(self, tmp_path):
-        # Dispatch helpers in the kernels package run as ordinary
-        # Python; only the nopython bodies are constrained.
-        assert lint_source(
-            tmp_path,
-            "def dispatch(x):\n"
-            "    table = {0: x}\n"
-            "    return table[0]\n",
-            filename="repro/kernels/custom.py",
-        ) == []
-
-    def test_same_code_outside_kernels_dir_is_clean(self, tmp_path):
-        assert lint_source(
-            tmp_path, self.DICT_IN_KERNEL, filename="repro/core/custom.py"
-        ) == []
-
-    def test_suppression_comment_honored(self, tmp_path):
-        findings = lint_source(
-            tmp_path,
-            "from numba import njit\n"
-            "@njit(cache=True)\n"
-            "def k(x):\n"
-            "    table = {0: x}  # contract-ok: kernel-purity -- doc example\n"
-            "    return table[0]\n",
-            filename="repro/kernels/custom.py",
-        )
-        assert findings == []
-
-
 def test_shipped_package_lints_clean():
     """Acceptance: ``blasys lint`` is clean on the shipped sources."""
     pkg_dir = Path(repro.__file__).resolve().parent

@@ -24,6 +24,7 @@ from repro.circuit.simulate import (
     unpack_bits,
 )
 from repro.core.bmf import bool_product, weighted_error
+from repro.core.bmf.asso import _asso_descent, _confidence, _DescentPrep
 from repro.core.bmf.packed import (
     MAX_MASK_BITS,
     PackedColumns,
@@ -198,6 +199,25 @@ class TestCandidateGains:
         )
         np.testing.assert_array_equal(totals_p, totals_d)
         np.testing.assert_array_equal(usage_p, usage_d)
+
+
+class TestAssoDescent:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_packed_descent_matches_dense_scoring(self, seed):
+        # The mask-scored descent (m <= MAX_MASK_BITS) must make the same
+        # choices, level by level, as the dense matmul scoring used for
+        # wider matrices; exact-sum weights make the comparison bitwise.
+        M = _random_matrix(40 + seed, 128, 6, density=0.3)
+        w = _random_weights(40 + seed, 6)
+        packed = _asso_descent(M, 4, 0.5, w, 1.0, 2.0)
+        dense = _asso_descent(
+            M, 4, 0.5, w, 1.0, 2.0,
+            prep=_DescentPrep(_confidence(M), None, None, None),
+        )
+        np.testing.assert_array_equal(packed.B, dense.B)
+        np.testing.assert_array_equal(packed.C, dense.C)
+        np.testing.assert_array_equal(packed.errors, dense.errors)
+        assert packed.C.any()
 
 
 def _fit_C_dense(M, B, weights, algebra):

@@ -22,7 +22,7 @@ from repro.circuit import (
     words_for,
     words_to_patterns,
 )
-from repro.circuit.simulate import tail_mask
+from repro.circuit.simulate import _bit_count_lut, bit_count, tail_mask
 from repro.errors import SimulationError
 
 
@@ -228,3 +228,48 @@ class TestTruthTable:
         b.output("y", b.or_(*ins))
         with pytest.raises(SimulationError):
             truth_table(b.build())
+
+
+class TestBitCountEquivalence:
+    @pytest.mark.parametrize(
+        "dtype", [np.uint64, np.uint32, np.uint8, np.int64]
+    )
+    def test_dtypes_converted_identically(self, dtype):
+        # bit_count converts to uint64 by value; the LUT path must agree
+        # through the conversion for every input dtype.
+        vals = np.array([0, 1, 2, 127, 200], dtype=dtype)
+        expected = np.array([bin(int(v)).count("1") for v in vals])
+        np.testing.assert_array_equal(bit_count(vals), expected)
+        as_u64 = np.ascontiguousarray(vals, dtype=np.uint64)
+        np.testing.assert_array_equal(_bit_count_lut(as_u64), expected)
+
+    def test_empty_and_shapes(self):
+        empty = np.zeros((0,), dtype=np.uint64)
+        assert bit_count(empty).shape == (0,)
+        assert _bit_count_lut(empty).shape == (0,)
+        two_d = np.full((2, 3), 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        np.testing.assert_array_equal(bit_count(two_d), np.full((2, 3), 64))
+        np.testing.assert_array_equal(_bit_count_lut(two_d), bit_count(two_d))
+
+
+class TestPopcountWordsValidation:
+    def test_too_large_n_raises(self):
+        words = np.array([0xFF, 0xFF], dtype=np.uint64)
+        with pytest.raises(ValueError, match="packed words"):
+            popcount_words(words, n=129)
+
+    def test_too_large_n_raises_2d(self):
+        words = np.full((3, 2), 0xFF, dtype=np.uint64)
+        with pytest.raises(ValueError, match="packed words"):
+            popcount_words(words, n=200)
+
+    def test_negative_n_raises(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            popcount_words(np.array([1], dtype=np.uint64), n=-1)
+
+    def test_consistent_n_still_counts(self):
+        words = np.array([0xFFFFFFFFFFFFFFFF, 0x7], dtype=np.uint64)
+        assert popcount_words(words, n=128) == 67
+        assert popcount_words(words, n=66) == 66
+        assert popcount_words(words) == 67
+        assert popcount_words(np.zeros(0, dtype=np.uint64), n=0) == 0

@@ -139,6 +139,12 @@ class TestCheckpointFlagCoherence:
         ])
         assert rc == 0
 
+    def test_zero_samples_rejected_before_profiling(self):
+        from repro.errors import ExplorationError
+
+        with pytest.raises(ExplorationError, match="n_samples must be >= 1"):
+            main(["run", "--bench", "but", "--samples", "0"])
+
     def test_compare_validates_too(self):
         from repro.errors import ExplorationError
 

@@ -32,6 +32,11 @@ class TestExplorerConfig:
         with pytest.raises(ExplorationError):
             ExplorerConfig(strategy="random")
 
+    @pytest.mark.parametrize("n", (0, -5))
+    def test_non_positive_sample_count_rejected(self, n):
+        with pytest.raises(ExplorationError, match="n_samples must be >= 1"):
+            ExplorerConfig(n_samples=n)
+
     def test_defaults_match_paper(self):
         cfg = ExplorerConfig()
         assert cfg.max_inputs == 10

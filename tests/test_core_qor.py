@@ -122,3 +122,20 @@ class TestQoREvaluator:
         approx_both[x_idx] = ~approx_both[x_idx]
         m2 = ev.metrics(approx_both)
         assert m2["mae"] > m["mae"]
+
+
+class TestWordPartials:
+    def test_zero_padding_is_exact(self):
+        # One 1-bit output word, approximated by its complement: every
+        # sample has absolute error 1, and the 63 padding slots of the
+        # second word contribute exactly 0.0.
+        b = CircuitBuilder()
+        b.output("y", b.input("a"))
+        c = b.build()
+        pats = (np.arange(65) % 2).astype(np.uint8)[:, None]
+        ev, exact = _make_evaluator(c, pats, QoRSpec("mae"))
+        approx = ~exact
+        np.testing.assert_array_equal(ev.word_partials(0, approx), [64.0, 1.0])
+        np.testing.assert_array_equal(
+            ev.word_partials(0, approx[:, 1:], word_start=1), [1.0]
+        )

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -157,3 +161,22 @@ class TestMeasureError:
         a = measure_error(circuit, approx, n_samples=2048, seed=9)
         b = measure_error(circuit, approx, n_samples=2048, seed=9)
         assert a == b
+
+
+def test_default_explore_emits_no_runtime_warning():
+    """A fresh process running ``explore()`` with defaults stays silent
+    even when runtime warnings are promoted to errors."""
+    script = (
+        "from repro.bench import get_benchmark\n"
+        "from repro.core.explorer import ExplorerConfig, explore\n"
+        "explore(get_benchmark('but').factory(), ExplorerConfig("
+        "n_samples=256, max_inputs=8, max_outputs=8, max_iterations=1))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

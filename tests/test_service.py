@@ -134,6 +134,10 @@ class TestSpecValidation:
         with pytest.raises(ExplorationError, match="unknown config keys"):
             JobSpec(bench="but", config={"checkpoint_path": "/x"}).validate()
 
+    def test_bad_sample_count_rejected(self):
+        with pytest.raises(ExplorationError, match="n_samples must be >= 1"):
+            JobSpec(bench="but", config={"n_samples": 0}).validate()
+
     def test_bad_deadline_rejected(self):
         with pytest.raises(ExplorationError, match="deadline"):
             JobSpec(bench="but", deadline_s=0.0).validate()
