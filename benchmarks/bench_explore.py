@@ -26,6 +26,11 @@ at the repository root so the perf trajectory accumulates across PRs:
   to resident execution.  ``--shard-jobs`` fans the chunk loop across
   worker processes (smoke included — the CI leg runs ``--smoke
   --shard-jobs 2`` and still asserts trajectory identity).
+* **table gather** — the packed table-gather primitive
+  (``rows_to_codes`` + ``lut_gather``) on one k = 10 window at 65536
+  samples, per output count, timed against the per-sample formula it
+  replaced; byte identity is asserted on every run, the speedup bar only
+  on the full run.
 * **sharded scaling** (``--scaling``) — the 10^6-sample streaming run
   repeated across shard worker counts (1, 2, 4 by default), recording
   wall time and peak *per-process* sample-matrix bytes per row, with
@@ -245,6 +250,80 @@ CHUNK_WORDS_SMOKE = 2
 SCALING_JOBS = (1, 2, 4)
 SCALING_CACHE_CHUNKS = 4
 MIN_SHARD_SPEEDUP = 1.5
+
+
+#: Table-gather micro-benchmark: one mult8 window (k = 10 inputs) at
+#: the warm paper-scale sample count, over the output counts its windows
+#: have.  The old formula is timed in-bench as the byte-identity oracle.
+GATHER_SAMPLES = 65536
+GATHER_OUTPUTS = (4, 6, 8, 10)
+GATHER_REPEATS_FULL = 20
+GATHER_REPEATS_SMOKE = 2
+MIN_GATHER_SPEEDUP = 2.0
+
+
+def _table_gather_oracle(table, rows, n_valid):
+    """The per-sample formula the packed gather replaced: one uint32
+    unpack per input row, a ``(n, m)`` fancy index, and ``pack_bits``."""
+    from repro.circuit.simulate import mask_tail_words, pack_bits, unpack_bits
+
+    n = rows.shape[1] * 64
+    idx = np.zeros(n, dtype=np.uint32)
+    for bit in range(rows.shape[0]):
+        idx |= unpack_bits(rows[bit], n).astype(np.uint32) << np.uint32(bit)
+    out = pack_bits(np.ascontiguousarray(table[idx, :].T).astype(np.uint8))
+    return mask_tail_words(out, n_valid)
+
+
+def _table_gather(smoke: bool) -> dict:
+    """``rows_to_codes`` + ``lut_gather`` vs the old formula, per output
+    count; every row asserts byte identity (tail masking included)."""
+    from repro.circuit.simulate import (
+        lut_gather,
+        random_input_words,
+        rows_to_codes,
+    )
+
+    rng = np.random.default_rng(7)
+    n_valid = (SAMPLES_SMOKE if smoke else GATHER_SAMPLES) - 17
+    repeats = GATHER_REPEATS_SMOKE if smoke else GATHER_REPEATS_FULL
+    rows = random_input_words(WINDOW, n_valid, rng)
+    # Garbage tails: the old and new paths must mask them identically.
+    rows[:, -1] |= ~np.uint64((1 << (n_valid % 64)) - 1)
+
+    def best_us(fn):
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best * 1e6
+
+    per_m = []
+    for m in GATHER_OUTPUTS:
+        table = rng.random((1 << WINDOW, m)) < 0.5
+        new = lut_gather(table, rows_to_codes(rows), n_valid)
+        assert np.array_equal(new, _table_gather_oracle(table, rows, n_valid)), (
+            f"packed table gather diverged from the oracle at m={m}"
+        )
+        old_us = best_us(lambda: _table_gather_oracle(table, rows, n_valid))
+        new_us = best_us(lambda: lut_gather(table, rows_to_codes(rows), n_valid))
+        per_m.append({
+            "m": m,
+            "old_us": round(old_us, 1),
+            "packed_us": round(new_us, 1),
+            "speedup": round(old_us / new_us, 2),
+        })
+    return {
+        "k": WINDOW,
+        "n_samples": n_valid,
+        "rows": per_m,
+        "speedup": round(
+            sum(r["old_us"] for r in per_m) / sum(r["packed_us"] for r in per_m),
+            2,
+        ),
+        "byte_identical": True,  # asserted per row above
+    }
 
 
 def _usable_cores() -> int:
@@ -481,6 +560,7 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
             n_samples,
             ITERATIONS_SMOKE if smoke else ITERATIONS_FULL,
         ),
+        "table_gather": _table_gather(smoke),
         # The chunked path, exercised on every run (tiny chunk so several
         # chunk boundaries land inside the sample set) and asserted
         # trajectory-identical to resident execution — sharded across
@@ -514,6 +594,11 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
         assert expl["explore_speedup"] >= MIN_EXPLORE_SPEEDUP, (
             f"explore speedup {expl['explore_speedup']} below "
             f"{MIN_EXPLORE_SPEEDUP}x"
+        )
+        gather = report["table_gather"]["speedup"]
+        assert gather >= MIN_GATHER_SPEEDUP, (
+            f"packed table gather speedup {gather} below "
+            f"{MIN_GATHER_SPEEDUP}x"
         )
         if write:
             # Preserve the sections prior --samples/--scaling runs wrote;

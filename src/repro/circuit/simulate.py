@@ -134,6 +134,131 @@ def unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return bits[..., :n]
 
 
+# ----------------------------------------------------------------------
+# Packed <-> per-sample code transposes (the table-gather primitive)
+# ----------------------------------------------------------------------
+#: ``_SPREAD[b]`` holds bit ``i`` of byte ``b`` at bit 0 of byte ``i``:
+#: one packed input byte (8 samples) becomes 8 per-sample code bytes.
+_SPREAD = np.array(
+    [sum(((b >> i) & 1) << (8 * i) for i in range(8)) for b in range(256)],
+    dtype=np.uint64,
+)
+#: Bit 0 of every byte of a word.
+_BYTE_LSBS = np.uint64(0x0101010101010101)
+#: Multiplying ``_BYTE_LSBS``-masked bits by this moves bit 0 of byte
+#: ``i`` to bit ``56 + i``; no two partial products share a bit, so the
+#: top byte is the 8 samples' bits, packed little-endian.
+_GATHER_BYTE_LSBS = np.uint64(0x0102040810204080)
+_TOP_BYTE_SHIFT = np.uint64(56)
+#: Bit positions within a byte, as shift amounts.
+_BYTE_BITS = np.arange(8, dtype=np.uint64)
+#: Packed bytes per transpose step: bounds the ``(8, block)`` uint64
+#: temporaries to 512 KiB, so they stay cache-resident at any sample
+#: count.
+_TRANSPOSE_BLOCK = 8192
+
+_CODE_DTYPES = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+def code_dtype(k: int) -> np.dtype:
+    """Smallest unsigned dtype holding a ``k``-bit code (``k <= 64``)."""
+    for dt in _CODE_DTYPES:
+        if k <= dt.itemsize * 8:
+            return dt
+    raise SimulationError(f"a {k}-bit code exceeds 64 bits")
+
+
+def rows_to_codes(rows: np.ndarray) -> np.ndarray:
+    """Per-sample codes from ``(k, W)`` packed rows: a bit transpose.
+
+    Returns a ``(W * 64,)`` array of :func:`code_dtype` ``(k)`` in which
+    bit ``b`` of code ``s`` is bit ``s`` of row ``b`` — for a window's
+    input rows, the table-row index of every sample.  Built one byte
+    plane of the codes at a time: the plane's (up to 8) rows go through
+    the 256-entry ``_SPREAD`` table, each shifted to its bit, and are
+    OR-ed together.  Samples past the valid count get whatever code their
+    tail bits spell; callers mask what they gather with it.  Like
+    :func:`unpack_bits`, this reads words through a little-endian byte
+    view.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.uint64)
+    k, w = rows.shape
+    dt = code_dtype(k)
+    row_bytes = rows.view(np.uint8)
+    plane = np.zeros(w * 8, dtype=np.uint64)
+    codes = None if dt.itemsize == 1 else np.zeros(w * WORD_BITS, dtype=dt)
+    for p in range((k + 7) // 8):
+        rows_p = row_bytes[8 * p : 8 * p + 8]
+        for s in range(0, w * 8, _TRANSPOSE_BLOCK):
+            spread = _SPREAD.take(rows_p[:, s : s + _TRANSPOSE_BLOCK])
+            spread <<= _BYTE_BITS[: rows_p.shape[0], None]
+            np.bitwise_or.reduce(
+                spread, axis=0, out=plane[s : s + _TRANSPOSE_BLOCK]
+            )
+        if codes is not None:
+            codes.view(np.uint8).reshape(-1, dt.itemsize)[:, p] = plane.view(
+                np.uint8
+            )
+    return plane.view(np.uint8) if codes is None else codes
+
+
+def codes_to_rows(codes: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`rows_to_codes`: ``(n,)`` codes -> ``(m, n // 64)``.
+
+    Row ``j`` packs bit ``j`` of every code.  Per byte plane, a shift, a
+    mask, a multiply and a shift turn each word of 8 code bytes into one
+    packed byte of each of the plane's (up to 8) rows.  ``n`` must be a
+    whole number of packed words.
+    """
+    codes = np.ascontiguousarray(codes)
+    n = codes.shape[0]
+    if n % WORD_BITS:
+        raise SimulationError(f"{n} codes do not fill whole packed words")
+    width = codes.dtype.itemsize
+    if m > width * 8:
+        raise SimulationError(f"{m} rows exceed {codes.dtype} codes")
+    out = np.empty((m, n // WORD_BITS), dtype=np.uint64)
+    out_bytes = out.view(np.uint8)
+    code_bytes = codes.view(np.uint8).reshape(n, width)
+    for p in range((m + 7) // 8):
+        plane = np.ascontiguousarray(code_bytes[:, p]).view(np.uint64)
+        n_rows = min(8, m - 8 * p)
+        for s in range(0, plane.shape[0], _TRANSPOSE_BLOCK):
+            bits = plane[None, s : s + _TRANSPOSE_BLOCK] >> _BYTE_BITS[
+                :n_rows, None
+            ]
+            bits &= _BYTE_LSBS
+            bits *= _GATHER_BYTE_LSBS
+            bits >>= _TOP_BYTE_SHIFT
+            out_bytes[8 * p : 8 * p + n_rows, s : s + _TRANSPOSE_BLOCK] = bits
+    return out
+
+
+def lut_gather(
+    table: np.ndarray, idx: np.ndarray, n_valid: Optional[int] = None
+) -> np.ndarray:
+    """Evaluate a ``(2**k, m)`` 0/1 table at per-sample codes ``idx``.
+
+    ``idx`` comes from :func:`rows_to_codes`.  The table is folded into
+    one code per row (bit ``j`` = column ``j``), gathered once per sample
+    and transposed back by :func:`codes_to_rows`: ``(m, len(idx) // 64)``
+    packed outputs.  With ``n_valid`` given, bits past it are zeroed
+    (tail samples index the table with garbage codes).
+    """
+    table = np.asarray(table, dtype=bool)
+    m = table.shape[1]
+    dt = code_dtype(m)
+    folded = np.packbits(table, axis=1, bitorder="little")
+    pad = dt.itemsize - folded.shape[1]
+    if pad:
+        folded = np.pad(folded, [(0, 0), (0, pad)])
+    folded = np.ascontiguousarray(folded).view(dt).ravel()
+    out = codes_to_rows(folded.take(idx), m)
+    if n_valid is not None:
+        mask_tail_words(out, n_valid)
+    return out
+
+
 def tail_mask(n: int) -> np.uint64:
     """Mask selecting the valid bits of the final word for ``n`` patterns."""
     rem = n % WORD_BITS
@@ -270,26 +395,17 @@ def _lut_eval(
 ) -> np.ndarray:
     """Evaluate a LUT on packed fanin values.
 
-    Unpacks the fanins to per-pattern indices, gathers through the table and
-    repacks.  Cost is linear in pattern count; LUTs are only used for
-    window-substitution candidates so this stays off the hot path of plain
-    gate evaluation.
+    Transposes the fanins to per-pattern codes, gathers through the table
+    and transposes back (:func:`lut_gather`).  Cost is linear in pattern
+    count; LUTs are only used for window-substitution candidates so this
+    stays off the hot path of plain gate evaluation.
 
     Tail bits beyond ``n_valid`` index the table with garbage (all-zero
     fanin tails hit ``table[0]``, which may be 1), so when the pattern
     count is known the output tail is masked back to zero.
     """
-    k = len(fanin_words)
-    w = fanin_words[0].shape[0]
-    n = w * WORD_BITS
-    idx = np.zeros(n, dtype=np.uint32)
-    for i, fw in enumerate(fanin_words):
-        idx |= unpack_bits(fw, n).astype(np.uint32) << np.uint32(i)
-    out_bits = np.asarray(table, dtype=np.uint8)[idx]
-    out = pack_bits(out_bits)
-    if n_valid is not None:
-        mask_tail_words(out, n_valid)
-    return out
+    idx = rows_to_codes(np.stack(fanin_words))
+    return lut_gather(np.reshape(table, (-1, 1)), idx, n_valid)[0]
 
 
 def _eval_node(

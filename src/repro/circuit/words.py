@@ -14,6 +14,12 @@ from typing import List, Tuple
 
 import numpy as np
 
+from ..errors import SimulationError
+
+#: Widest word whose integers, and the differences of two of them, fit
+#: int64.  Integer metrics on wider words would silently wrap.
+MAX_INT_WIDTH = 63
+
 
 @dataclass(frozen=True)
 class WordSpec:
@@ -35,6 +41,21 @@ class WordSpec:
     def width(self) -> int:
         return len(self.indices)
 
+    def check_int_width(self) -> None:
+        """Raise unless the word decodes to int64 without overflow.
+
+        Raises:
+            SimulationError: for words wider than :data:`MAX_INT_WIDTH`
+                bits.
+        """
+        if self.width > MAX_INT_WIDTH:
+            raise SimulationError(
+                f"word {self.name!r} is {self.width} bits wide; integer "
+                f"metrics (mre/mae/nmae) support at most {MAX_INT_WIDTH} "
+                "bits (use the hamming metric, or attach narrower word "
+                "metadata)"
+            )
+
     def to_ints(self, bit_rows: np.ndarray) -> np.ndarray:
         """Interpret ``bit_rows[:, self.indices]`` as integers.
 
@@ -43,7 +64,11 @@ class WordSpec:
 
         Returns:
             int64 vector of length ``n``.
+
+        Raises:
+            SimulationError: for words wider than :data:`MAX_INT_WIDTH`.
         """
+        self.check_int_width()
         bits = np.asarray(bit_rows, dtype=np.int64)[:, list(self.indices)]
         weights = np.int64(1) << np.arange(self.width, dtype=np.int64)
         vals = bits @ weights

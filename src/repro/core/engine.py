@@ -11,9 +11,8 @@ array ops:
 * **Static cone schedules** — each window's transitive fanout restricted to
   the quotient plan (:meth:`~repro.partition.plan.QuotientGraph.cone`) is
   extracted once per decomposition; a sweep touches only the cone's units
-  instead of all of them.  The window's packed input-index vector is cached
-  and invalidated on commit instead of being rebuilt via ``unpack_bits``
-  per preview.
+  instead of all of them.  The window's per-sample input-code vector is
+  cached and invalidated on commit instead of being rebuilt per preview.
 * **Structure-of-arrays gate programs** — cone gates grouped by
   (level, op, arity) with fanin index matrices, executed as gathered-row
   bitwise ufunc reductions over a local packed value matrix.  Windows not
@@ -27,9 +26,11 @@ array ops:
   compiler serves whole-circuit simulation (:func:`simulate_full_compiled`
   behind :func:`repro.circuit.simulate.simulate_full`).
 * **Stacked candidate gather** — all candidate tables of one window are
-  pushed through the shared input index in a single ``(n_cand, m, n)``
-  fancy-index plus one ``pack_bits`` call, and dirty tracking happens in
-  one bulk valid-bit compare per sweep instead of per node.
+  pushed through the shared input codes, one packed table gather
+  (:func:`~repro.circuit.simulate.lut_gather`: 1–2 bytes per sample, then
+  a byte-plane bit transpose back to packed rows) per candidate, and
+  dirty tracking happens in one bulk valid-bit compare per sweep instead
+  of per node.
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -57,11 +58,9 @@ from ..circuit.gate import Op
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     _FULL_WORD,
-    WORD_BITS,
     _lut_eval,
-    mask_tail_words,
-    pack_bits,
-    unpack_bits,
+    lut_gather,
+    rows_to_codes,
 )
 from ..analysis.sanitize import assert_tail_clean, freeze
 from ..errors import SimulationError
@@ -128,51 +127,17 @@ def execute_batch(
     return ~acc if invert else acc
 
 
-def input_index_from_rows(in_words: np.ndarray, n_patterns: int) -> np.ndarray:
-    """Per-pattern table-row indices from packed input rows.
-
-    ``in_words`` is a ``(k, W)`` packed matrix (input ``i`` supplies bit
-    ``i`` of the index).  Patterns beyond the valid count produce garbage
-    indices; callers mask the gathered outputs (see
-    :func:`gather_window_outputs`).
-    """
-    idx = np.zeros(n_patterns, dtype=np.uint32)
-    for bit in range(in_words.shape[0]):
-        idx |= unpack_bits(in_words[bit], n_patterns).astype(
-            np.uint32
-        ) << np.uint32(bit)
-    return idx
-
-
-def gather_window_outputs(
-    table: np.ndarray, in_words: np.ndarray, n_valid: int
-) -> np.ndarray:
-    """Evaluate a window table on packed inputs; ``(m, W)`` packed outputs.
-
-    The single table-gather primitive shared by the resident cone sweeps,
-    the streaming engine's chunk passes and commits.  Output tails beyond
-    ``n_valid`` are masked to zero (tail-bit invariant: garbage indices in
-    the tail would otherwise read arbitrary table rows).
-    """
-    n_pat = in_words.shape[1] * WORD_BITS
-    idx = input_index_from_rows(in_words, n_pat)
-    packed = pack_bits(np.ascontiguousarray(table[idx, :].T).astype(np.uint8))
-    return mask_tail_words(packed, n_valid)
-
-
 def stacked_seed_gather(
     tables: Sequence[np.ndarray], idx: np.ndarray, n_valid: int
 ) -> np.ndarray:
-    """All candidate tables through one shared input index at once.
+    """All candidate tables through one shared input code vector.
 
-    One ``(n_cand, m, n)`` fancy-index plus a single ``pack_bits`` —
-    returns packed seeds of shape ``(n_cand, m, W)``, tails masked.
+    ``idx`` is the window's :func:`~repro.circuit.simulate.rows_to_codes`
+    vector, built once and shared by every candidate; each table costs one
+    :func:`~repro.circuit.simulate.lut_gather`.  Returns packed seeds of
+    shape ``(n_cand, m, W)``, tails masked.
     """
-    stacked = np.stack([t.astype(np.uint8) for t in tables])
-    gathered = stacked[:, idx, :]
-    seeds = pack_bits(np.ascontiguousarray(gathered.transpose(0, 2, 1)))
-    mask_tail_words(seeds, n_valid)
-    return seeds
+    return np.stack([lut_gather(t, idx, n_valid) for t in tables])
 
 
 def _levelize(
@@ -573,8 +538,8 @@ class CompiledEvaluator(IncrementalEvaluator):
             # already reflects: outputs are the cached rows.
             local[instr.out_slots] = self._values[instr.out_ids]
             return
-        local[instr.out_slots] = gather_window_outputs(
-            table, local[instr.in_slots], self.n
+        local[instr.out_slots] = lut_gather(
+            table, rows_to_codes(local[instr.in_slots]), self.n
         )
 
     def _run_cone(
@@ -672,8 +637,8 @@ class CompiledEvaluator(IncrementalEvaluator):
     def _stacked_seeds(
         self, index: int, checked: Sequence[np.ndarray]
     ) -> np.ndarray:
-        """All candidate tables through the shared input index in one
-        ``(n_cand, m, n)`` fancy-index plus a single ``pack_bits``.
+        """All candidate tables through the shared input codes
+        (:func:`stacked_seed_gather`).
 
         Seeds are cached per window: they only change when the window's
         input index is invalidated (an upstream commit) or the candidate
@@ -905,14 +870,8 @@ class CompiledEvaluator(IncrementalEvaluator):
                         dirty_blocks[:, None] * w_words + word_span
                     ).ravel()
                     sub = stacked[np.ix_(instr.in_slots, cols)]
-                    n_pat = dirty_blocks.size * w_words * WORD_BITS
-                    idx = np.zeros(n_pat, dtype=np.uint32)
-                    for bit in range(len(instr.in_slots)):
-                        idx |= unpack_bits(sub[bit], n_pat).astype(
-                            np.uint32
-                        ) << np.uint32(bit)
-                    stacked[np.ix_(instr.out_slots, cols)] = pack_bits(
-                        np.ascontiguousarray(table[idx, :].T).astype(np.uint8)
+                    stacked[np.ix_(instr.out_slots, cols)] = lut_gather(
+                        table, rows_to_codes(sub)
                     )
             else:
                 stacked[instr.out] = execute_batch(instr, stacked, None)
@@ -944,8 +903,7 @@ class CompiledEvaluator(IncrementalEvaluator):
         w = self._window_by_index[index]
         table = self._check_table(w, table)
         idx = self._window_input_index(index)
-        seed = pack_bits(np.ascontiguousarray(table[idx, :].T).astype(np.uint8))
-        mask_tail_words(seed, self.n)
+        seed = lut_gather(table, idx, self.n)
         if self._sanitize:
             assert_tail_clean(seed, self.n, "commit seed")
         cone = self._cone(index)

@@ -39,13 +39,11 @@ from ..analysis.sanitize import freeze, frozen_view, sanitize_enabled
 from ..errors import SimulationError
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
-    WORD_BITS,
     _eval_node,
-    mask_tail_words,
-    pack_bits,
+    lut_gather,
+    rows_to_codes,
     simulate_full,
     tail_mask,
-    unpack_bits,
 )
 from ..partition.plan import quotient_graph
 from ..partition.windows import Window
@@ -153,25 +151,19 @@ class IncrementalEvaluator:
     def _input_index(
         self, w: Window, overlay: Dict[int, np.ndarray]
     ) -> np.ndarray:
-        """Per-pattern table row index from the window's packed inputs."""
-        idx = np.zeros(self._n_words * WORD_BITS, dtype=np.uint32)
-        for bit, nid in enumerate(w.inputs):
-            vals = overlay.get(nid, self._values[nid])
-            idx |= unpack_bits(vals, self._n_words * WORD_BITS).astype(
-                np.uint32
-            ) << np.uint32(bit)
-        return idx
+        """Per-pattern table-row codes from the window's packed inputs."""
+        return rows_to_codes(
+            np.array(
+                [overlay.get(nid, self._values[nid]) for nid in w.inputs],
+                dtype=np.uint64,
+            ).reshape(len(w.inputs), self._n_words)
+        )
 
     def _gather_outputs(
         self, w: Window, table: np.ndarray, idx: np.ndarray
     ) -> Dict[int, np.ndarray]:
         """{output node id: packed, tail-masked values} via ``table[idx]``."""
-        return {
-            nid: mask_tail_words(
-                pack_bits(table[idx, pos].astype(np.uint8)), self.n
-            )
-            for pos, nid in enumerate(w.outputs)
-        }
+        return dict(zip(w.outputs, lut_gather(table, idx, self.n)))
 
     def _lut_outputs(
         self, w: Window, table: np.ndarray, overlay: Dict[int, np.ndarray]

@@ -4,7 +4,8 @@ Implements the paper's Eq. 1 (average relative error) and Eq. 2 (average
 absolute error), plus normalized-absolute and bit-level Hamming variants.
 Outputs are grouped into words via the :class:`~repro.circuit.words.
 WordSpec` metadata that benchmark circuits carry; a circuit without word
-metadata is treated as a single unsigned word.
+metadata is treated as a single unsigned word.  Integer metrics need
+words of at most 63 bits; on a wider word only ``hamming`` is defined.
 
 The one deviation from Eq. 1 (documented in DESIGN.md): relative error uses
 ``|R - R'| / max(|R|, 1)`` since the paper's formula is undefined at
@@ -41,11 +42,11 @@ from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     bit_count,
     mask_tail_words,
+    rows_to_codes,
     tail_mask,
-    unpack_bits,
     words_for,
 )
-from ..circuit.words import WordSpec, default_output_word
+from ..circuit.words import MAX_INT_WIDTH, WordSpec, default_output_word
 
 #: Metric names accepted by :class:`QoRSpec`.
 METRICS = ("mre", "mae", "nmae", "hamming")
@@ -112,9 +113,20 @@ class QoREvaluator:
         if self._sanitize:
             assert_tail_clean(self._exact_words, n_samples, "exact words")
             freeze(self._exact_words)
-        self._exact_vals = {
-            w.name: self._word_ints(exact, w) for w in self.words
-        }
+        # Integer metrics need every word to decode to int64; a word
+        # wider than 63 bits (e.g. all outputs of a netlist without word
+        # metadata) supports only hamming.
+        self._int_metrics = all(
+            w.width <= MAX_INT_WIDTH for w in self.words
+        )
+        if spec.metric != "hamming":
+            for w in self.words:
+                w.check_int_width()
+        self._exact_vals = (
+            {w.name: self._word_ints(exact, w) for w in self.words}
+            if self._int_metrics
+            else {}
+        )
         # Relative-error denominators depend only on the exact outputs;
         # hoisted out of evaluate()/metrics(), which sit on the explorer's
         # per-candidate hot path.
@@ -144,22 +156,24 @@ class QoREvaluator:
         w: WordSpec,
         n_valid: Optional[int] = None,
     ) -> np.ndarray:
-        """Integer interpretation of one word, unpacking only its rows.
+        """Integer interpretation of one word, decoding only its rows.
 
-        Matches :meth:`repro.circuit.words.WordSpec.to_ints` exactly
-        (integer arithmetic; no float rounding anywhere).  ``n_valid``
-        restricts the unpack to the first samples of ``output_words`` —
-        chunk-sliced calls produce the exact same integers as slicing a
-        full-width call.
+        One bit transpose of the word's rows into per-sample codes
+        (:func:`~repro.circuit.simulate.rows_to_codes`), sign-extended on
+        bit ``width - 1`` for signed words.  Matches :meth:`repro.circuit.
+        words.WordSpec.to_ints` exactly (integer arithmetic; no float
+        rounding anywhere).  ``n_valid`` restricts the decode to the first
+        samples of ``output_words`` — chunk-sliced calls produce the exact
+        same integers as slicing a full-width call.
         """
         n = self.n if n_valid is None else n_valid
-        bits = unpack_bits(output_words[list(w.indices)], n)
-        vals = bits.T.astype(np.int64) @ (
-            np.int64(1) << np.arange(w.width, dtype=np.int64)
+        vals = rows_to_codes(output_words[list(w.indices)])[:n].astype(
+            np.int64
         )
         if w.signed and w.width:
             sign = np.int64(1) << np.int64(w.width - 1)
-            vals = np.where(bits[-1] > 0, vals - (sign << 1), vals)
+            vals ^= sign
+            vals -= sign
         return vals
 
     def _word_partials(
@@ -284,9 +298,14 @@ class QoREvaluator:
 
     # ------------------------------------------------------------------
     def metrics(self, approx_output_words: np.ndarray) -> Dict[str, float]:
-        """All supported metrics for one approximate output set."""
+        """All supported metrics for one approximate output set.
+
+        Only ``hamming`` is reported when a word is wider than 63 bits:
+        such a word has no int64 interpretation.
+        """
         out = np.atleast_2d(np.asarray(approx_output_words, dtype=np.uint64))
-        return {m: self._combine(m, out) for m in METRICS}
+        names = METRICS if self._int_metrics else ("hamming",)
+        return {m: self._combine(m, out) for m in names}
 
     def evaluate(self, approx_output_words: np.ndarray) -> float:
         """The configured metric only (cheaper than :meth:`metrics`)."""

@@ -94,9 +94,9 @@ from ..analysis.sanitize import (
 from ..circuit.netlist import Circuit
 from ..circuit.simulate import (
     _FULL_WORD,
-    WORD_BITS,
-    pack_bits,
+    lut_gather,
     plan_chunks,
+    rows_to_codes,
     simulate_outputs,
     tail_mask,
     words_for,
@@ -119,8 +119,6 @@ from .engine import (
     WindowInstr,
     circuit_program,
     execute_batch,
-    gather_window_outputs,
-    input_index_from_rows,
     stacked_seed_gather,
 )
 from .qor import QoREvaluator, QoRSpec, circuit_words
@@ -531,9 +529,9 @@ class StreamingEvaluator(CompiledEvaluator):
             values[prog.const1_ids] = _FULL_WORD
         for instr in sched.instructions:
             if isinstance(instr, WindowInstr):
-                values[instr.out_slots] = gather_window_outputs(
+                values[instr.out_slots] = lut_gather(
                     self._committed[instr.index],
-                    values[instr.in_slots],
+                    rows_to_codes(values[instr.in_slots]),
                     chunk.n_valid,
                 )
             else:
@@ -647,11 +645,8 @@ class StreamingEvaluator(CompiledEvaluator):
                         dirty_blocks[:, None] * cw + word_span
                     ).ravel()
                     sub = local[np.ix_(instr.in_slots, cols)]
-                    idx = input_index_from_rows(
-                        sub, dirty_blocks.size * cw * WORD_BITS
-                    )
-                    local[np.ix_(instr.out_slots, cols)] = pack_bits(
-                        np.ascontiguousarray(table[idx, :].T).astype(np.uint8)
+                    local[np.ix_(instr.out_slots, cols)] = lut_gather(
+                        table, rows_to_codes(sub)
                     )
             else:
                 local[instr.out] = execute_batch(instr, local, None)
@@ -704,9 +699,7 @@ class StreamingEvaluator(CompiledEvaluator):
             # Per-chunk input-index + stacked-seed caches: built once
             # per (window, chunk), shared by all its candidates, and
             # discarded with the chunk.
-            idx = input_index_from_rows(
-                base[self._win_input_ids[index]], cw * WORD_BITS
-            )
+            idx = rows_to_codes(base[self._win_input_ids[index]])
             seeds = stacked_seed_gather(checked, idx, chunk.n_valid)
             if self._sanitize:
                 assert_tail_clean(
@@ -1012,9 +1005,7 @@ class StreamingEvaluator(CompiledEvaluator):
         changed_rows: set = set()
         for chunk in self._chunks:
             base = self._base_values(chunk)
-            idx = input_index_from_rows(
-                base[self._win_input_ids[index]], chunk.n_words * WORD_BITS
-            )
+            idx = rows_to_codes(base[self._win_input_ids[index]])
             seed = stacked_seed_gather([table], idx, chunk.n_valid)
             if self._sanitize:
                 assert_tail_clean(seed, chunk.n_valid, "commit chunk seed")

@@ -22,7 +22,17 @@ from repro.circuit import (
     words_for,
     words_to_patterns,
 )
-from repro.circuit.simulate import _bit_count_lut, bit_count, tail_mask
+from repro.circuit.simulate import (
+    _bit_count_lut,
+    _lut_eval,
+    bit_count,
+    code_dtype,
+    codes_to_rows,
+    lut_gather,
+    mask_tail_words,
+    rows_to_codes,
+    tail_mask,
+)
 from repro.errors import SimulationError
 
 
@@ -273,3 +283,83 @@ class TestPopcountWordsValidation:
         assert popcount_words(words, n=66) == 66
         assert popcount_words(words) == 67
         assert popcount_words(np.zeros(0, dtype=np.uint64), n=0) == 0
+
+
+# ----------------------------------------------------------------------
+# The packed table-gather primitive, checked against the per-sample
+# unpack formulas it replaced (kept here as oracles).
+# ----------------------------------------------------------------------
+def _index_oracle(rows):
+    """Per-sample row index via one unpack + shift + OR per row."""
+    k = rows.shape[0]
+    dt = np.uint32 if k <= 32 else np.uint64
+    n = rows.shape[1] * 64
+    idx = np.zeros(n, dtype=dt)
+    for bit in range(k):
+        idx |= unpack_bits(rows[bit], n).astype(dt) << dt(bit)
+    return idx
+
+
+def _gather_oracle(table, idx, n_valid):
+    """``table[idx]`` fancy-index, transposed and repacked."""
+    out = pack_bits(np.ascontiguousarray(table[idx, :].T).astype(np.uint8))
+    if n_valid is not None:
+        mask_tail_words(out, n_valid)
+    return out
+
+
+class TestTableGather:
+    @pytest.mark.parametrize("k", list(range(1, 17)) + [33])
+    @pytest.mark.parametrize("w", [1, 2, 3])
+    def test_rows_to_codes_matches_unpack_loop(self, k, w, rng):
+        full = rng.integers(0, 1 << 64, size=(k, w), dtype=np.uint64)
+        # a clean tail (n % 64 != 0) and garbage tails both transpose
+        tailed = random_input_words(k, w * 64 - 23, rng)
+        for rows in (full, tailed):
+            codes = rows_to_codes(rows)
+            assert codes.dtype == code_dtype(k)
+            assert codes.shape == (w * 64,)
+            np.testing.assert_array_equal(
+                codes.astype(np.uint64), _index_oracle(rows).astype(np.uint64)
+            )
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 16, 17, 33, 63, 64])
+    def test_codes_to_rows_inverts(self, k, rng):
+        rows = rng.integers(0, 1 << 64, size=(k, 3), dtype=np.uint64)
+        np.testing.assert_array_equal(codes_to_rows(rows_to_codes(rows), k), rows)
+
+    def test_code_dtype_is_smallest(self):
+        assert [code_dtype(k) for k in (0, 8, 9, 16, 17, 32, 33, 64)] == [
+            np.uint8, np.uint8, np.uint16, np.uint16,
+            np.uint32, np.uint32, np.uint64, np.uint64,
+        ]
+        with pytest.raises(SimulationError):
+            code_dtype(65)
+
+    def test_codes_to_rows_rejects_bad_shapes(self):
+        with pytest.raises(SimulationError, match="whole packed words"):
+            codes_to_rows(np.zeros(72, dtype=np.uint8), 1)
+        with pytest.raises(SimulationError, match="exceed"):
+            codes_to_rows(np.zeros(64, dtype=np.uint8), 9)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize("m", [1, 4, 8, 9, 10, 16])
+    def test_lut_gather_matches_fancy_index(self, k, m, rng):
+        table = rng.random((1 << k, m)) < 0.5
+        rows = rng.integers(0, 1 << 64, size=(k, 3), dtype=np.uint64)
+        idx = rows_to_codes(rows)
+        oracle_idx = _index_oracle(rows)
+        for n_valid in (None, 1, 130, 191, 192):
+            np.testing.assert_array_equal(
+                lut_gather(table, idx, n_valid),
+                _gather_oracle(table, oracle_idx, n_valid),
+            )
+
+    def test_lut_eval_matches_fancy_index(self, rng):
+        table = rng.random(1 << 5) < 0.5
+        fanins = list(rng.integers(0, 1 << 64, size=(5, 2), dtype=np.uint64))
+        idx = _index_oracle(np.stack(fanins))
+        np.testing.assert_array_equal(
+            _lut_eval(table, fanins, 100),
+            _gather_oracle(table[:, None], idx, 100)[0],
+        )

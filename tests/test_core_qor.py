@@ -8,8 +8,11 @@ import pytest
 from repro.bench import ripple_adder
 from repro.circuit import (
     CircuitBuilder,
+    WordSpec,
     patterns_to_words,
+    random_input_words,
     simulate_outputs,
+    unpack_bits,
 )
 from repro.core.qor import METRICS, QoREvaluator, QoRSpec, circuit_words
 from repro.errors import SimulationError
@@ -139,3 +142,89 @@ class TestWordPartials:
         np.testing.assert_array_equal(
             ev.word_partials(0, approx[:, 1:], word_start=1), [1.0]
         )
+
+
+def _buffer_circuit(n_outputs):
+    """``n_outputs`` buffered inputs and no word metadata: one unsigned
+    word of every output (the ``--blif`` netlist fallback)."""
+    b = CircuitBuilder()
+    for i in range(n_outputs):
+        b.output(f"y{i}", b.buf(b.input(f"x{i}")))
+    c = b.build()
+    c.attrs.pop("words", None)
+    return c
+
+
+class TestWordInts:
+    """``_word_ints`` (one bit transpose) against ``WordSpec.to_ints``
+    (unpacked bits times powers of two), the formula it replaced."""
+
+    def test_matches_to_ints_all_widths(self, rng):
+        n = 200  # 4 packed words, the last one partial
+        c = _buffer_circuit(63)
+        out = random_input_words(63, n, rng)
+        ev = QoREvaluator(c, out, n, QoRSpec("mae"))
+        bits = unpack_bits(out, n).T
+        for width in range(1, 64):
+            idx = tuple(int(i) for i in rng.permutation(63)[:width])
+            for signed in (False, True):
+                spec = WordSpec("w", idx, signed)
+                full = ev._word_ints(out, spec)
+                np.testing.assert_array_equal(full, spec.to_ints(bits))
+                # chunk-sliced calls equal slices of the full-width call
+                for start, stop in ((0, 2), (2, 4), (3, 4), (1, 2)):
+                    n_valid = min(n - start * 64, (stop - start) * 64)
+                    np.testing.assert_array_equal(
+                        ev._word_ints(out[:, start:stop], spec, n_valid),
+                        full[start * 64 : start * 64 + n_valid],
+                    )
+
+    def test_signed_extremes(self):
+        c = _buffer_circuit(63)
+        rows = np.zeros((63, 1), dtype=np.uint64)
+        rows[62, 0] = 1  # sample 0: only the sign bit
+        rows[:, 0] |= np.uint64(2)  # sample 1: every bit set
+        ev = QoREvaluator(c, rows, 2, QoRSpec("mae"))
+        spec = WordSpec("w", tuple(range(63)), True)
+        assert ev._word_ints(rows, spec).tolist() == [-(1 << 62), -1]
+        unsigned = WordSpec("u", tuple(range(63)))
+        assert ev._word_ints(rows, unsigned).tolist() == [
+            1 << 62,
+            (1 << 63) - 1,
+        ]
+
+
+class TestWideWords:
+    """Integer metrics on words wider than 63 bits would wrap int64."""
+
+    @staticmethod
+    def _flip_top_bit(n_outputs):
+        c = _buffer_circuit(n_outputs)
+        exact = np.zeros((n_outputs, 1), dtype=np.uint64)
+        approx = exact.copy()
+        approx[n_outputs - 1, 0] = 1  # top bit of sample 0 of 64
+        return c, exact, approx
+
+    def test_63_bits_exact(self):
+        c, exact, approx = self._flip_top_bit(63)
+        ev = QoREvaluator(c, exact, 64, QoRSpec("mae"))
+        m = ev.metrics(approx)
+        assert m["mae"] == 2.0**62 / 64
+        assert m["nmae"] == (2.0**62 / (2**63 - 1)) / 64
+        assert m["hamming"] == 1 / 64
+
+    @pytest.mark.parametrize("n_outputs", [64, 70])
+    def test_integer_metrics_refuse_wide_words(self, n_outputs):
+        c, exact, approx = self._flip_top_bit(n_outputs)
+        for metric in ("mre", "mae", "nmae"):
+            with pytest.raises(SimulationError, match="'out'"):
+                QoREvaluator(c, exact, 64, QoRSpec(metric))
+        with pytest.raises(SimulationError, match="'out'"):
+            circuit_words(c)[0].to_ints(unpack_bits(approx, 64).T)
+
+    @pytest.mark.parametrize("n_outputs", [64, 70])
+    def test_hamming_still_works(self, n_outputs):
+        c, exact, approx = self._flip_top_bit(n_outputs)
+        ev = QoREvaluator(c, exact, 64, QoRSpec("hamming"))
+        assert ev.evaluate(approx) == 1 / 64
+        assert ev.metrics(approx) == {"hamming": 1 / 64}
