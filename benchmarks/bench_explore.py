@@ -16,7 +16,9 @@ at the repository root so the perf trajectory accumulates across PRs:
   path (``RuntimeStats.n_sweep_units``).
 * **end-to-end explore()** — Algorithm 1 at paper window budgets, wall
   time per engine, with the trajectories asserted byte-identical
-  (qor floats, areas, window choices, degree vectors — all of it).
+  (qor floats, areas, window choices, degree vectors — all of it), and
+  the widest stacked scan pass (``peak_scan_pass_mb``) asserted within
+  the engine's ``SCAN_PASS_BYTES`` budget on every run, smoke included.
 * **streaming execution** (``--samples``) — the chunked engine at the
   paper's actual Monte-Carlo scale (10^6 patterns by default for the
   mode), recording wall time, throughput, peak RSS, and the peak
@@ -213,6 +215,14 @@ def _explore_end_to_end(circuit, windows, profiles, n_samples, max_iterations):
 
     ref_s, ref = run("reference")
     comp_s, comp = run("compiled")
+    # The resident engine's recorded peak is its value matrix plus the
+    # widest stacked scan pass; a pass must fit the engine's byte budget
+    # (or hold a single candidate block when one block exceeds it).
+    from repro.circuit.simulate import words_for
+    from repro.core.engine import SCAN_PASS_BYTES
+
+    resident = 8 * circuit.n_nodes * words_for(n_samples)
+    scan_pass = comp.runtime_stats.peak_sample_matrix_bytes - resident
     key = lambda r: [
         (p.iteration, p.window_index, p.f, p.qor, p.est_area, p.fs)
         for p in r.trajectory
@@ -232,6 +242,8 @@ def _explore_end_to_end(circuit, windows, profiles, n_samples, max_iterations):
             "sweep_units": comp.runtime_stats.n_sweep_units,
             "cones_compiled": comp.runtime_stats.n_cones_compiled,
         },
+        "peak_scan_pass_mb": round(scan_pass / 1e6, 3),
+        "scan_pass_bounded": 0 < scan_pass <= max(SCAN_PASS_BYTES, resident),
         "explore_speedup": round(ref_s / comp_s, 3),
         "trajectories_byte_identical": identical,
     }
@@ -578,6 +590,10 @@ def run(smoke: bool = False, write: bool = True, shard_jobs: int = 1) -> dict:
     }
     assert report["explore"]["trajectories_byte_identical"], (
         "compiled trajectories diverged from the reference engine"
+    )
+    assert report["explore"]["scan_pass_bounded"], (
+        f"widest scan pass {report['explore']['peak_scan_pass_mb']} MB "
+        "exceeds the engine's SCAN_PASS_BYTES budget"
     )
     prev, expl = report["preview"], report["explore"]
     assert (

@@ -31,6 +31,13 @@ array ops:
   a byte-plane bit transpose back to packed rows) per candidate, and
   dirty tracking happens in one bulk valid-bit compare per sweep instead
   of per node.
+* **Byte-budgeted, cone-trimmed iteration scans** — one iteration's
+  candidates across all windows stack along the word axis in passes of
+  at most :data:`SCAN_PASS_BYTES` (cache-sized, not memory-sized), packed
+  largest cone first; each pass runs only the whole-plan instructions
+  inside the union of its windows' cones and fills the rest of what it
+  reads from the resident values (:meth:`CompiledEvaluator.
+  preview_scan`).
 
 Determinism contract (see DESIGN.md "Exploration engine"): on every
 **valid bit** the engine is byte-identical to the interpreted reference —
@@ -311,22 +318,31 @@ class IterationSchedule:
     Slots are node ids.  Uncommitted windows are inlined as gates,
     committed ones are gather instructions — like a cone schedule, but
     rooted at every window at once: the full-strategy explorer evaluates
-    *all* windows' candidates in one pass with candidates stacked along
+    many windows' candidates in one pass with candidates stacked along
     the word axis (block-columns), so the per-unit dispatch cost is paid
-    once per iteration instead of once per candidate.
+    once per pass instead of once per candidate.  A pass runs only the
+    instructions inside the union of its windows' cones
+    (:meth:`CompiledEvaluator._scan_pass_program`).
     """
 
     instructions: List[ConeInstr]
-    source_ids: np.ndarray
     #: node id -> position of the instruction producing it (-1 for none);
     #: lets a scan map its seed overrides to instructions in O(#seeds).
     producer_of: np.ndarray
-    n_units: int
 
 
-#: Upper bound on candidate blocks stacked into one scan pass (bounds the
-#: stacked value matrix at n_nodes x MAX_SCAN_BLOCKS x W words).
-MAX_SCAN_BLOCKS = 64
+#: Byte budget of one stacked scan pass: a pass stacks as many candidate
+#: blocks as fit its value matrix in this many bytes (at least one).
+#: Sized for cache-friendly passes, not for memory (DESIGN.md "Stacked
+#: candidate scans"); both engines read it through
+#: :func:`scan_pass_blocks`.
+SCAN_PASS_BYTES = 16 << 20
+
+
+def scan_pass_blocks(block_words: int) -> int:
+    """Candidate blocks one stacked pass may hold when each block spans
+    ``block_words`` packed words (rows × words per block); always ≥ 1."""
+    return max(1, SCAN_PASS_BYTES // (8 * max(block_words, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +382,9 @@ class CompiledEvaluator(IncrementalEvaluator):
     recompiles at most once per window it contains).
 
     Memory: this engine is *resident* — it holds the full
-    ``(n_nodes, words_for(n_samples))`` value matrix.  For pattern counts
+    ``(n_nodes, words_for(n_samples))`` value matrix, plus one stacked
+    scan pass of at most ``max(SCAN_PASS_BYTES, 8 × n_nodes × W)`` bytes
+    while :meth:`preview_scan` runs.  For pattern counts
     where that matrix is the bottleneck, use the streaming subclass
     (:class:`repro.core.streaming.StreamingEvaluator`, selected via
     ``chunk_words``), which bounds sample-matrix memory by a chunk budget
@@ -391,6 +409,10 @@ class CompiledEvaluator(IncrementalEvaluator):
         self._seed_cache: Dict[int, Tuple] = {}
         self._touch_cache: Dict[int, frozenset] = {}
         self._iter_sched: Optional[IterationSchedule] = None
+        # window -> (cone node mask, cone plan steps, cone node count):
+        # pattern-free and independent of the committed set, so built
+        # once per window.
+        self._scan_cones: Dict[int, Tuple[np.ndarray, frozenset, int]] = {}
         # Memoized preview results: window -> (tables, touch_ids, entries).
         # A commit invalidates exactly the windows whose cones its changed
         # values intersect; everything else re-serves the cached sweeps.
@@ -716,7 +738,6 @@ class CompiledEvaluator(IncrementalEvaluator):
         circuit = self.circuit
         instructions: List[ConeInstr] = []
         pending: List[int] = []
-        sources: List[int] = []
         ident = lambda nid: nid  # noqa: E731 - slots are node ids
 
         def flush() -> None:
@@ -728,8 +749,6 @@ class CompiledEvaluator(IncrementalEvaluator):
             if kind == "node":
                 if circuit.node(key).op.is_gate:
                     pending.append(key)
-                else:
-                    sources.append(key)
                 continue
             w = self._window_by_index[key]
             if key in self._committed:
@@ -749,14 +768,72 @@ class CompiledEvaluator(IncrementalEvaluator):
         producer = np.full(circuit.n_nodes, -1, dtype=np.int64)
         for i, instr in enumerate(instructions):
             producer[instr.out_ids] = i
-        sched = IterationSchedule(
-            instructions,
-            np.array(sources, dtype=np.int64),
-            producer,
-            len(self._plan),
-        )
+        sched = IterationSchedule(instructions, producer)
         self._iter_sched = sched
         return sched
+
+    def _scan_cone(self, index: int) -> Tuple[np.ndarray, frozenset, int]:
+        """``(node mask, plan steps, size)`` of window ``index``'s cone.
+
+        The mask marks every node of ``graph.cone(("window", index))``
+        past the root — loose gates and whole windows (members and
+        outputs) — so it serves any committed set; the steps (root
+        included) count a pass's sweep units, and ``size`` (the mask's
+        node count) orders the scan's pass packing.
+        """
+        cached = self._scan_cones.get(index)
+        if cached is None:
+            steps = self._graph.cone(("window", index))
+            mask = np.zeros(self.circuit.n_nodes, dtype=bool)
+            for kind, key in steps[1:]:
+                if kind == "node":
+                    mask[key] = True
+                else:
+                    mask[list(self._window_by_index[key].members)] = True
+            if self._sanitize:
+                freeze(mask)
+            cached = (mask, frozenset(steps), int(mask.sum()))
+            self._scan_cones[index] = cached
+        return cached
+
+    def _scan_pass_program(
+        self, mask: np.ndarray, root_out_ids: np.ndarray
+    ) -> Tuple[List[Tuple[int, ConeInstr]], np.ndarray]:
+        """The whole-plan schedule restricted to a pass's union of cones.
+
+        Returns ``(kept, boundary)``: ``kept`` lists ``(whole-plan
+        position, instruction)`` for every instruction with an output in
+        ``mask`` — gate batches cut to their in-mask rows, committed
+        windows whole — in plan order, so the subset is still a valid
+        levelization.  ``boundary`` is every node the pass reads but does
+        not produce (kept fanins and window inputs, the primary outputs
+        and ``root_out_ids``); no candidate in the pass can change it, so
+        it is one broadcast fill from the resident values.
+        """
+        sched = self._iteration_schedule()
+        need = np.zeros(self.circuit.n_nodes, dtype=bool)
+        kept: List[Tuple[int, ConeInstr]] = []
+        for pos, instr in enumerate(sched.instructions):
+            rows = mask[instr.out_ids]
+            if not rows.any():
+                continue
+            if isinstance(instr, WindowInstr):
+                need[instr.in_ids] = True
+            else:
+                if not rows.all():
+                    instr = GateBatch(
+                        instr.op,
+                        instr.out[rows],
+                        instr.fanins[rows],
+                        instr.out_ids[rows],
+                        instr.table,
+                    )
+                need[instr.fanins] = True
+            kept.append((pos, instr))
+        need[self._out_nodes_arr] = True
+        need[root_out_ids] = True
+        need &= ~(mask & (sched.producer_of >= 0))
+        return kept, np.flatnonzero(need)
 
     def preview_scan(
         self, requests: Sequence[Tuple[int, Sequence[np.ndarray]]]
@@ -773,18 +850,23 @@ class CompiledEvaluator(IncrementalEvaluator):
             rows)`` exactly as :meth:`preview_batch_delta` would return
             them.
 
-        Memoized windows replay their cached sweeps; the rest are
-        evaluated in a single execution of the whole-plan schedule with
-        every candidate stacked along the word axis (its seed scattered
-        into its own block-column right after the producing instruction),
-        so the per-unit dispatch cost is paid once per pass instead of
-        once per candidate.  At most :data:`MAX_SCAN_BLOCKS` candidate
-        blocks stack into one pass; larger scans split into several.
+        Memoized windows replay their cached sweeps.  The rest are packed
+        into passes of at most :func:`scan_pass_blocks` candidate blocks
+        (the stacked ``(n_nodes, blocks × W)`` matrix stays within
+        :data:`SCAN_PASS_BYTES`), largest cone first and in request order
+        among equals, splitting a window's candidates across passes when
+        they do not fit.  Each pass runs the whole-plan schedule
+        restricted to the union of its windows' cones
+        (:meth:`_scan_pass_program`) with every candidate stacked along
+        the word axis, its seed scattered into its own block-column right
+        after the producing instruction, so the per-unit dispatch cost is
+        paid once per pass instead of once per candidate.
 
         Determinism: results are identical to per-window
         :meth:`preview_batch_delta` on every valid bit, and the reported
         dirty-row sets are exact (a row appears iff its valid bits differ
-        from the committed state).  Invalidation: the memo a scan
+        from the committed state); pass grouping only regroups
+        per-sample-independent work.  Invalidation: the memo a scan
         populates is dropped by :meth:`commit` exactly for the windows
         whose cone state the commit touched — see the class docstring.
         """
@@ -801,55 +883,77 @@ class CompiledEvaluator(IncrementalEvaluator):
                 results[pos] = []
                 continue
             todo.append((pos, index, checked, tables))
-        start = 0
-        while start < len(todo):
-            stop, blocks = start, 0
-            while stop < len(todo):
-                n_cand = len(todo[stop][2])
-                if blocks and blocks + n_cand > MAX_SCAN_BLOCKS:
-                    break
-                blocks += n_cand
-                stop += 1
-            self._run_scan_chunk(todo[start:stop], blocks, results)
-            start = stop
+            results[pos] = [None] * len(checked)
+        todo.sort(key=lambda t: (-self._scan_cone(t[1])[2], t[0]))
+        cap = scan_pass_blocks(self.circuit.n_nodes * self._n_words)
+        segments: List[Tuple[int, int, List[np.ndarray], int, int]] = []
+        room = cap
+        for pos, index, checked, _ in todo:
+            c0 = 0
+            while c0 < len(checked):
+                c1 = min(len(checked), c0 + room)
+                segments.append((pos, index, checked, c0, c1))
+                room -= c1 - c0
+                c0 = c1
+                if not room:
+                    self._run_scan_chunk(segments, cap, results)
+                    segments, room = [], cap
+        if segments:
+            self._run_scan_chunk(segments, cap - room, results)
+        for pos, index, _, tables in todo:
+            self._memo_store(index, tables, results[pos])
         return results
 
-    def _run_scan_chunk(self, chunk, n_blocks: int, results: List) -> None:
-        if not n_blocks:
-            for pos, _, _, _ in chunk:
-                results[pos] = []
-            return
+    def _run_scan_chunk(self, segments, n_blocks: int, results: List) -> None:
+        """One stacked pass over ``(pos, window, checked tables, c0, c1)``
+        candidate segments; fills ``results[pos][c0:c1]``."""
         values = self._values
         w_words = self._n_words
         sched = self._iteration_schedule()
+        mask = np.zeros(self.circuit.n_nodes, dtype=bool)
+        steps: set = set()
+        for _, index, _, _, _ in segments:
+            cone_mask, cone_steps, _ = self._scan_cone(index)
+            mask |= cone_mask
+            steps |= cone_steps
+        root_outs = np.array(
+            [
+                o
+                for _, index, _, _, _ in segments
+                for o in self._window_by_index[index].outputs
+            ],
+            dtype=np.int64,
+        )
+        kept, boundary = self._scan_pass_program(mask, root_outs)
         if self._stats is not None:
             self._stats.n_preview_sweeps += n_blocks
-            self._stats.n_sweep_units += sched.n_units
-        # Seeds per request; scatter[instruction] lists (gid, block, seed
-        # row) overrides applied right after the producing instruction.
+            self._stats.n_sweep_units += len(steps)
+        # scatter[position] lists (gid, block, seed row) overrides applied
+        # right after the producing instruction; seeds of root outputs the
+        # pass does not produce go in right after the boundary fill (-1).
         scatter: Dict[int, List[Tuple[int, int, np.ndarray]]] = {}
-        spans: List[Tuple[int, int, Sequence, int, int]] = []
         block = 0
-        for pos, index, checked, tables in chunk:
-            w = self._window_by_index[index]
+        for _, index, checked, c0, c1 in segments:
             seeds = self._stacked_seeds(index, checked)
-            for out_pos, gid in enumerate(w.outputs):
-                at = int(sched.producer_of[gid])
+            for out_pos, gid in enumerate(self._window_by_index[index].outputs):
+                at = int(sched.producer_of[gid]) if mask[gid] else -1
                 entry = scatter.setdefault(at, [])
-                for c in range(len(checked)):
-                    entry.append((gid, block + c, seeds[c, out_pos]))
-            spans.append((pos, index, tables, block, len(checked)))
-            block += len(checked)
+                for c in range(c0, c1):
+                    entry.append((gid, block + c - c0, seeds[c, out_pos]))
+            block += c1 - c0
         stacked = np.empty(
             (self.circuit.n_nodes, n_blocks * w_words), dtype=np.uint64
         )
-        if sched.source_ids.size:
-            stacked[sched.source_ids] = np.broadcast_to(
-                values[sched.source_ids][:, None, :],
-                (sched.source_ids.size, n_blocks, w_words),
-            ).reshape(sched.source_ids.size, n_blocks * w_words)
+        if self._stats is not None:
+            self._stats.note_sample_matrix(values.nbytes + stacked.nbytes)
+        if boundary.size:
+            stacked[boundary] = np.broadcast_to(
+                values[boundary][:, None, :],
+                (boundary.size, n_blocks, w_words),
+            ).reshape(boundary.size, n_blocks * w_words)
         word_span = np.arange(w_words, dtype=np.int64)
-        for instr_pos, instr in enumerate(sched.instructions):
+        self._scatter_seeds(stacked, scatter.get(-1))
+        for instr_pos, instr in kept:
             if isinstance(instr, WindowInstr):
                 # Gather only the blocks whose candidate dirtied this
                 # window's inputs — every other block's outputs are the
@@ -875,29 +979,29 @@ class CompiledEvaluator(IncrementalEvaluator):
                     )
             else:
                 stacked[instr.out] = execute_batch(instr, stacked, None)
-            overrides = scatter.get(instr_pos)
-            if overrides:
-                for gid, blk, seed_row in overrides:
-                    stacked[gid, blk * w_words : (blk + 1) * w_words] = (
-                        seed_row
-                    )
+            self._scatter_seeds(stacked, scatter.get(instr_pos))
         # One block-masked compare yields every candidate's dirty rows.
         out_stack = stacked[self._out_nodes_arr]
+        del stacked
         blocked = out_stack.reshape(
             len(self._out_nodes_arr), n_blocks, w_words
         ) ^ values[self._out_nodes_arr][:, None, :]
         blocked[..., -1] &= self._tail
         neq = blocked.any(axis=2)
-        for pos, index, tables, b0, n_cand in spans:
-            per_window: List[Tuple[np.ndarray, Tuple[int, ...]]] = []
-            for c in range(n_cand):
-                rows = tuple(int(r) for r in np.nonzero(neq[:, b0 + c])[0])
+        block = 0
+        for pos, _, _, c0, c1 in segments:
+            for c in range(c0, c1):
+                rows = tuple(int(r) for r in np.nonzero(neq[:, block])[0])
                 out = np.ascontiguousarray(
-                    out_stack[:, (b0 + c) * w_words : (b0 + c + 1) * w_words]
+                    out_stack[:, block * w_words : (block + 1) * w_words]
                 )
-                per_window.append((out, rows))
-            results[pos] = per_window
-            self._memo_store(index, tables, per_window)
+                results[pos][c] = (out, rows)
+                block += 1
+
+    def _scatter_seeds(self, stacked: np.ndarray, overrides) -> None:
+        w_words = self._n_words
+        for gid, blk, seed_row in overrides or ():
+            stacked[gid, blk * w_words : (blk + 1) * w_words] = seed_row
 
     def commit(self, index: int, table: np.ndarray) -> None:
         w = self._window_by_index[index]

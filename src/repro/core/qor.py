@@ -209,21 +209,25 @@ class QoREvaluator:
             n_valid = max(self.n - s0, 0)
         if n_valid <= 0:
             return np.zeros(0, dtype=float)
-        approx = self._word_ints(output_words, w, n_valid)
-        exact = self._exact_vals[w.name][s0 : s0 + n_valid]
-        diff = np.abs(exact - approx).astype(float)
-        if metric == "mre":
-            terms = diff / self._rel_denoms[w.name][s0 : s0 + n_valid]
-        elif metric == "mae":
-            terms = diff
-        else:
-            terms = diff / max(w.max_abs, 1)
-        # Zero-pad to whole words and reduce each 64-element row: numpy's
-        # pairwise order over one row is the canonical partial, so a
-        # chunk's partials equal the matching slice of a full-width call.
+        # |exact - approx| in place on the fresh decode, then one float
+        # pass straight into the zero-padded row buffer (the same
+        # elementwise ops as casting first, so the same floats).
+        diff = self._word_ints(output_words, w, n_valid)
+        np.subtract(self._exact_vals[w.name][s0 : s0 + n_valid], diff, out=diff)
+        np.abs(diff, out=diff)
         n_words = words_for(n_valid)
-        padded = np.zeros(n_words * 64, dtype=float)
-        padded[:n_valid] = terms
+        padded = np.empty(n_words * 64, dtype=float)
+        padded[n_valid:] = 0.0
+        terms = padded[:n_valid]
+        if metric == "mre":
+            np.divide(diff, self._rel_denoms[w.name][s0 : s0 + n_valid], out=terms)
+        elif metric == "mae":
+            terms[...] = diff
+        else:
+            np.divide(diff, float(max(w.max_abs, 1)), out=terms)
+        # Reduce each 64-element row: numpy's pairwise order over one row
+        # is the canonical partial, so a chunk's partials equal the
+        # matching slice of a full-width call.
         return padded.reshape(n_words, 64).sum(axis=1)
 
     def word_partials(

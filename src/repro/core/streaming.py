@@ -27,10 +27,11 @@ input-index / stacked-seed caches shared across that window's
 candidates, (c) sweeps the candidates through **block-stacked** cone
 executions (candidates stacked along the word axis, the same layout the
 resident ``preview_scan`` uses, capped so the stacked matrix stays
-inside the chunk budget), and (d) folds the dirtied output rows into
-per-candidate accumulators — canonical per-packed-word partial slices
-for value metrics, exact integer mismatch deltas for hamming.  Nothing
-pattern-sized survives the chunk.
+inside both the chunk budget and the engine-wide scan-pass byte budget),
+and (d) folds the dirtied output rows into per-candidate accumulators —
+canonical per-packed-word partial slices for value metrics, exact
+integer mismatch deltas for hamming.  Nothing pattern-sized survives
+the chunk.
 
 **Sharding** (DESIGN.md "Parallel streaming"): the per-chunk work above
 is a pure function of (committed tables, input slice, candidate
@@ -113,12 +114,12 @@ from ..runtime.executor import (
     plan_shards,
 )
 from .engine import (
-    MAX_SCAN_BLOCKS,
     CompiledEvaluator,
     ConeSchedule,
     WindowInstr,
     circuit_program,
     execute_batch,
+    scan_pass_blocks,
     stacked_seed_gather,
 )
 from .qor import QoREvaluator, QoRSpec, circuit_words
@@ -563,12 +564,13 @@ class StreamingEvaluator(CompiledEvaluator):
         than one full chunk of base state, so the documented per-process
         peak of ``(2 + cache_chunks) × 8 × n_nodes × chunk_words`` bytes
         holds with stacking enabled.  Always ≥ 1 (``n_slots ≤ n_nodes``
-        and ``cw ≤ chunk_words``), and never beyond the engine-wide
-        :data:`~repro.core.engine.MAX_SCAN_BLOCKS`.
+        and ``cw ≤ chunk_words``), and never beyond what the engine-wide
+        :data:`~repro.core.engine.SCAN_PASS_BYTES` admits
+        (:func:`~repro.core.engine.scan_pass_blocks`).
         """
         budget_words = self.circuit.n_nodes * self._chunk_words
         cap = budget_words // max(cone.n_slots * chunk_words, 1)
-        return int(max(1, min(cap, MAX_SCAN_BLOCKS)))
+        return min(max(1, cap), scan_pass_blocks(cone.n_slots * chunk_words))
 
     def _sweep_cone_blocks(
         self,

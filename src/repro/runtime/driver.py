@@ -82,7 +82,10 @@ class RuntimeStats:
             pattern-axis plan; ``0`` means resident (unchunked) execution.
         peak_sample_matrix_bytes: Largest packed sample-value matrix held
             at any point *per process* — the resident engines record
-            their full ``(n_nodes, W)`` cache, the streaming engine its
+            their full ``(n_nodes, W)`` cache, which the compiled engine
+            adds its widest stacked scan pass to (at most
+            ``max(SCAN_PASS_BYTES, 8 × n_nodes × W)`` bytes), the
+            streaming engine its
             per-chunk base state plus the widest concurrent sweep working
             set plus any cached base slices.  This is the number the
             (per-worker) chunk budget bounds; total footprint across a

@@ -144,6 +144,54 @@ class TestWordPartials:
         )
 
 
+def _partials_oracle(ev, w, output_words, metric, word_start, n_valid):
+    """The formula ``_word_partials`` used before it worked in place:
+    cast the absolute difference to float, then zero-pad a copy."""
+    s0 = word_start * 64
+    approx = ev._word_ints(output_words, w, n_valid)
+    exact = ev._exact_vals[w.name][s0 : s0 + n_valid]
+    diff = np.abs(exact - approx).astype(float)
+    if metric == "mre":
+        terms = diff / ev._rel_denoms[w.name][s0 : s0 + n_valid]
+    elif metric == "mae":
+        terms = diff
+    else:
+        terms = diff / max(w.max_abs, 1)
+    n_words = -(-n_valid // 64)
+    padded = np.zeros(n_words * 64, dtype=float)
+    padded[:n_valid] = terms
+    return padded.reshape(n_words, 64).sum(axis=1)
+
+
+class TestWordPartialsOracle:
+    @pytest.mark.parametrize("metric", ["mre", "mae", "nmae"])
+    @pytest.mark.parametrize("n", [1024, 1000])
+    def test_byte_identical_to_padded_copy(self, metric, n, rng):
+        """Full-width and chunk-sliced partials equal the old formula's
+        bytes, on signed and unsigned words, with and without a tail."""
+        from repro.bench import butterfly
+
+        for c in (ripple_adder(8), butterfly(6)):
+            words = random_input_words(c.n_inputs, n, rng)
+            exact = simulate_outputs(c, words)
+            approx = exact ^ (
+                random_input_words(exact.shape[0], n, rng)
+                & random_input_words(exact.shape[0], n, rng)
+            )
+            ev = QoREvaluator(c, exact, n, QoRSpec(metric))
+            n_words = words.shape[1]
+            for w in ev.words:
+                got = ev._word_partials(w, approx, metric)
+                want = _partials_oracle(ev, w, approx, metric, 0, n)
+                assert got.tobytes() == want.tobytes()
+                for start, stop in ((0, 3), (3, n_words), (5, 6)):
+                    n_valid = min(n, stop * 64) - start * 64
+                    sl = approx[:, start:stop]
+                    got = ev._word_partials(w, sl, metric, start, n_valid)
+                    want = _partials_oracle(ev, w, sl, metric, start, n_valid)
+                    assert got.tobytes() == want.tobytes()
+
+
 def _buffer_circuit(n_outputs):
     """``n_outputs`` buffered inputs and no word metadata: one unsigned
     word of every output (the ``--blif`` netlist fallback)."""

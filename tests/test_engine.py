@@ -379,3 +379,140 @@ class TestStatsThreading:
         assert stats.n_preview_sweeps == 1
         assert stats.n_sweep_units >= 1
         assert "preview sweeps" in stats.summary()
+
+
+def _random_tables(rng, w, k):
+    return [rng.random((1 << w.n_inputs, w.n_outputs)) < 0.5 for _ in range(k)]
+
+
+class TestScanPasses:
+    """Byte-budgeted, cone-trimmed scan passes (DESIGN.md "Stacked
+    candidate scans"): regrouping candidates into passes and trimming a
+    pass to its union of cones never changes a result."""
+
+    @pytest.mark.parametrize("blocks", [0, 3, None])
+    @pytest.mark.parametrize("bench,k", [("adder", 4), ("mult8", 6)])
+    def test_scan_matches_per_window_previews(
+        self, monkeypatch, rng, blocks, bench, k
+    ):
+        """``preview_scan`` equals per-window ``preview_batch_delta`` on
+        every valid bit with identical dirty-row tuples, for one-block
+        passes (every request split), three-block passes (requests split
+        across mixed passes) and one pass holding the whole scan."""
+        from repro.core import engine
+
+        circuit = ripple_adder(8) if bench == "adder" else mult8()
+        windows = decompose(circuit, k, k)
+        n = 1000  # not a multiple of 64: tail bits are in play
+        words = random_input_words(circuit.n_inputs, n, rng)
+        scan = CompiledEvaluator(circuit, windows, words, n)
+        solo = CompiledEvaluator(circuit, windows, words, n)
+        # Committing the first two windows and a late one puts committed
+        # windows inside some passes' union of cones and outside others'
+        # (asserted next, with the other shapes this test must cover).
+        committed = [windows[0], windows[1], windows[-2]]
+        for w in committed:
+            table = _random_tables(rng, w, 1)[0]
+            scan.commit(w.index, table)
+            solo.commit(w.index, table)
+        masks = [scan._scan_cone(w.index)[0] for w in windows]
+        assert any(m[list(c.outputs)].all() for m in masks for c in committed)
+        assert any(
+            not m[list(c.outputs)].any() for m in masks for c in committed
+        )
+        # Some root sits downstream of another; some root drives outputs.
+        assert any(m[list(w.outputs)].any() for m in masks for w in windows)
+        outs = set(circuit.output_nodes())
+        assert any(outs & set(w.outputs) for w in windows)
+
+        requests = [
+            (w.index, _random_tables(rng, w, 3) + [w.table(circuit)])
+            for w in windows
+        ]
+        n_cand = sum(len(tables) for _, tables in requests)
+        block_bytes = 8 * circuit.n_nodes * words.shape[1]
+        budget = {0: 1, 3: 3 * block_bytes, None: 1 << 30}[blocks]
+        monkeypatch.setattr(engine, "SCAN_PASS_BYTES", budget)
+        passes: list = []
+        run_pass = CompiledEvaluator._run_scan_chunk
+
+        def spy(self, segments, n_blocks, results):
+            passes.append(n_blocks)
+            return run_pass(self, segments, n_blocks, results)
+
+        monkeypatch.setattr(CompiledEvaluator, "_run_scan_chunk", spy)
+        scanned = scan.preview_scan(requests)
+        if blocks is None:
+            assert passes == [n_cand]
+        else:
+            cap = max(blocks, 1)
+            assert passes == [cap] * (n_cand // cap) + (
+                [n_cand % cap] if n_cand % cap else []
+            )
+        for (index, tables), got in zip(requests, scanned):
+            want = solo.preview_batch_delta(index, tables)
+            assert len(got) == len(want) == len(tables)
+            for (g_out, g_rows), (w_out, w_rows) in zip(got, want):
+                assert g_rows == w_rows
+                np.testing.assert_array_equal(
+                    unpack_bits(g_out, n), unpack_bits(w_out, n)
+                )
+
+    def test_single_root_pass_program_is_the_cone(self, rng):
+        """A one-root pass runs exactly the root's cone — its loose gates,
+        inlined uncommitted windows and committed windows' gathers — in
+        plan order, and fills exactly what it reads but does not make."""
+        from repro.core.engine import WindowInstr
+
+        circuit = mult8()
+        windows = decompose(circuit, 6, 6)
+        n = 128
+        words = random_input_words(circuit.n_inputs, n, rng)
+        comp = CompiledEvaluator(circuit, windows, words, n)
+        by_index = {w.index: w for w in windows}
+        for w in (windows[3], windows[20]):
+            comp.commit(w.index, _random_tables(rng, w, 1)[0])
+        for root in windows:
+            mask = comp._scan_cone(root.index)[0]
+            root_outs = np.array(root.outputs, dtype=np.int64)
+            kept, boundary = comp._scan_pass_program(mask, root_outs)
+            expected = set()
+            for kind, key in comp._graph.cone(("window", root.index))[1:]:
+                if kind == "node":
+                    if circuit.node(key).op.is_gate:
+                        expected.add(key)
+                elif key in comp.committed:
+                    expected.update(by_index[key].outputs)
+                else:
+                    expected.update(by_index[key].members)
+            produced = [int(g) for _, instr in kept for g in instr.out_ids]
+            assert len(produced) == len(set(produced))
+            assert set(produced) == expected
+            positions = [pos for pos, _ in kept]
+            assert positions == sorted(positions)
+            reads = set(circuit.output_nodes()) | set(root.outputs)
+            for _, instr in kept:
+                if isinstance(instr, WindowInstr):
+                    reads.update(int(g) for g in instr.in_ids)
+                else:
+                    reads.update(int(g) for g in instr.fanins.ravel())
+            assert set(boundary.tolist()) == reads - expected
+
+    def test_peak_sample_matrix_counts_scan_passes(self, rng):
+        """The resident engine's recorded peak covers its widest scan
+        pass, bounded by the resident values plus one pass budget."""
+        from repro.core.engine import SCAN_PASS_BYTES
+
+        circuit = mult8()
+        windows = decompose(circuit, 6, 6)
+        n = 4096
+        words = random_input_words(circuit.n_inputs, n, rng)
+        stats = RuntimeStats()
+        comp = CompiledEvaluator(circuit, windows, words, n, stats=stats)
+        requests = [
+            (w.index, _random_tables(rng, w, 4)) for w in windows[:16]
+        ]  # 64 candidate blocks
+        comp.preview_scan(requests)
+        resident = 8 * circuit.n_nodes * words.shape[1]
+        peak = stats.peak_sample_matrix_bytes
+        assert resident < peak <= resident + max(SCAN_PASS_BYTES, resident)

@@ -330,6 +330,42 @@ class TestStreamingTrajectoryIdentity:
         assert trajectory_key(chunked) == trajectory_key(resident)
         assert chunked.n_evaluations == resident.n_evaluations
 
+    def test_scan_pass_budget_never_changes_trajectories(
+        self, monkeypatch, butterfly_profiled
+    ):
+        """A one-byte ``SCAN_PASS_BYTES`` caps every stacked pass at one
+        candidate block in both engines; trajectories stay identical to
+        the default budget's, resident and chunked alike."""
+        from repro.core import engine
+
+        circuit, windows, profiles = butterfly_profiled
+        n = 700
+        base = dict(n_samples=n, max_inputs=8, max_outputs=8)
+        default = explore(
+            circuit, ExplorerConfig(**base), windows=windows, profiles=profiles
+        )
+        over = words_for(n) + 13
+        words = random_input_words(circuit.n_inputs, n, np.random.default_rng(3))
+        stream = StreamingEvaluator(circuit, windows, words, n, chunk_words=over)
+
+        def capacities():
+            return [
+                stream._block_capacity(stream._cone(w.index), words_for(n))
+                for w in windows
+            ]
+
+        assert max(capacities()) > 1
+        monkeypatch.setattr(engine, "SCAN_PASS_BYTES", 1)
+        assert capacities() == [1] * len(windows)
+        for cw in (None, over):
+            tiny = explore(
+                circuit,
+                ExplorerConfig(chunk_words=cw, **base),
+                windows=windows,
+                profiles=profiles,
+            )
+            assert trajectory_key(tiny) == trajectory_key(default)
+
     def test_memory_bounded_by_chunk_budget(self, butterfly_profiled):
         """The streaming engine's recorded peak sample-matrix bytes obey
         the documented 2 × 8 × n_nodes × chunk_words bound and undercut
